@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race race-shard bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
+.PHONY: all build fmt vet lint test perfbench-check race race-shard bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
 
 all: build fmt vet test
 
@@ -30,6 +30,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is a nested module (perfbench/go.mod) that the root
+# `go build ./...` skips: vet and test it so an internal-API change that
+# breaks the benchmark fails the build.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The experiments package guards its full sweeps behind -short so the
 # race pass stays within CI's time budget.

@@ -2,19 +2,18 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"catsim/internal/rng"
 )
 
-// The flat implicit-heap tree must be observationally indistinguishable
-// from the pointer-linked reference: same Access return values on every
-// call, same statistics, same occupancy, same DRCAT reconfiguration
-// decisions. These differential tests drive both implementations with
-// identical traces — uniform random rows, hammering storms that force
-// refresh/reconfigure churn, and interval boundaries — and fail on the
-// first divergence.
+// The production Tree must be observationally indistinguishable from the
+// pointer-linked reference ptrTree: same Access return values on every
+// call, same statistics, same occupancy, same leaves (ranges, depths,
+// values, weights) and same DRCAT reconfiguration decisions. These
+// differential tests drive both implementations with identical traces —
+// uniform random rows, hammering storms that force refresh/reconfigure
+// churn, and interval boundaries — and fail on the first divergence.
 
 // diffConfigs spans the shapes that exercise every code path: tiny trees,
 // the paper's defaults, saturated trees (M == leaves at presplit), deep
@@ -32,53 +31,75 @@ func diffConfigs() []Config {
 	}
 }
 
+// leafStride is how many accesses pass between leaf-by-leaf comparisons:
+// every access normally, every 97th under -short, where the race pass
+// would otherwise spend minutes walking the 2048-counter trees. Access
+// results, statistics and occupancy are compared on every access either
+// way.
+func leafStride() int {
+	if testing.Short() {
+		return 97
+	}
+	return 1
+}
+
 // comparePair asserts both trees agree on one access and on all summary
-// state. step identifies the failing access in the trace.
-func comparePair(t *testing.T, ref *Tree, flat *FlatTree, row, step int) {
+// state, leaf by leaf every leafStride steps. step identifies the failing
+// access in the trace.
+func comparePair(t *testing.T, ref *ptrTree, tree *Tree, row, step int) {
 	t.Helper()
 	rl, rh, rr := ref.Access(row)
-	fl, fh, fr := flat.Access(row)
+	fl, fh, fr := tree.Access(row)
 	if rl != fl || rh != fh || rr != fr {
-		t.Fatalf("step %d row %d: pointer (%d,%d,%v) != flat (%d,%d,%v)",
+		t.Fatalf("step %d row %d: pointer (%d,%d,%v) != tree (%d,%d,%v)",
 			step, row, rl, rh, rr, fl, fh, fr)
 	}
-	if ref.Stats() != flat.Stats() {
-		t.Fatalf("step %d: stats diverge\npointer %+v\nflat    %+v", step, ref.Stats(), flat.Stats())
+	if ref.Stats() != tree.Stats() {
+		t.Fatalf("step %d: stats diverge\npointer %+v\ntree    %+v", step, ref.Stats(), tree.Stats())
 	}
-	if ref.ActiveCounters() != flat.ActiveCounters() || ref.Full() != flat.Full() {
-		t.Fatalf("step %d: occupancy diverges: pointer %d/%v, flat %d/%v",
-			step, ref.ActiveCounters(), ref.Full(), flat.ActiveCounters(), flat.Full())
+	if ref.ActiveCounters() != tree.ActiveCounters() || ref.Full() != tree.Full() {
+		t.Fatalf("step %d: occupancy diverges: pointer %d/%v, tree %d/%v",
+			step, ref.ActiveCounters(), ref.Full(), tree.ActiveCounters(), tree.Full())
+	}
+	if step%leafStride() == 0 {
+		compareLeaves(t, ref, tree, step)
 	}
 }
 
-// compareWeights checks the weight-register multiset matches (the two
-// layouts report weights in different orders).
-func compareWeights(t *testing.T, ref *Tree, flat *FlatTree, step int) {
+// compareLeaves asserts both trees agree on every leaf except its
+// storage index (a counter-array slot in ptrTree, a heap slot in Tree),
+// and that both pass CheckInvariants.
+func compareLeaves(t *testing.T, ref *ptrTree, tree *Tree, step int) {
 	t.Helper()
-	rw, fw := ref.Weights(), flat.Weights()
-	if len(rw) != len(fw) {
-		t.Fatalf("step %d: weight count %d != %d", step, len(rw), len(fw))
+	rls, tls := ref.Leaves(), tree.Leaves()
+	if len(rls) != len(tls) {
+		t.Fatalf("step %d: %d pointer leaves, %d tree leaves", step, len(rls), len(tls))
 	}
-	sort.Slice(rw, func(i, j int) bool { return rw[i] < rw[j] })
-	sort.Slice(fw, func(i, j int) bool { return fw[i] < fw[j] })
-	for i := range rw {
-		if rw[i] != fw[i] {
-			t.Fatalf("step %d: weight multisets diverge: %v vs %v", step, rw, fw)
+	for k := range rls {
+		r, f := rls[k], tls[k]
+		if r.Lo != f.Lo || r.Hi != f.Hi || r.Depth != f.Depth || r.Value != f.Value || r.Weight != f.Weight {
+			t.Fatalf("step %d: leaf %d diverges: pointer %+v, tree %+v", step, k, r, f)
 		}
 	}
+	if err := ref.CheckInvariants(); err != nil {
+		t.Fatalf("step %d: pointer: %v", step, err)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatalf("step %d: tree: %v", step, err)
+	}
 }
 
-func newPair(t *testing.T, cfg Config) (*Tree, *FlatTree) {
+func newPair(t *testing.T, cfg Config) (*ptrTree, *Tree) {
 	t.Helper()
-	ref, err := NewTree(cfg)
+	ref, err := newPtrTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := NewFlatTree(cfg)
+	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ref, flat
+	return ref, tree
 }
 
 // TestFlatMatchesPointerRandomTrace drives both trees with uniform random
@@ -87,18 +108,18 @@ func TestFlatMatchesPointerRandomTrace(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s_M%d_R%d", cfg.Policy, cfg.Counters, cfg.Rows), func(t *testing.T) {
-			ref, flat := newPair(t, cfg)
+			ref, tree := newPair(t, cfg)
 			src := rng.NewXoshiro256(42)
 			for step := 0; step < 60000; step++ {
 				row := int(rng.Float64(src) * float64(cfg.Rows))
-				comparePair(t, ref, flat, row, step)
+				comparePair(t, ref, tree, row, step)
 				if step%7919 == 7918 {
 					ref.OnIntervalBoundary()
-					flat.OnIntervalBoundary()
-					compareWeights(t, ref, flat, step)
+					tree.OnIntervalBoundary()
+					compareLeaves(t, ref, tree, step)
 				}
 			}
-			compareWeights(t, ref, flat, -1)
+			compareLeaves(t, ref, tree, -1)
 		})
 	}
 }
@@ -111,7 +132,7 @@ func TestFlatMatchesPointerReconfigStorm(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s_M%d_R%d", cfg.Policy, cfg.Counters, cfg.Rows), func(t *testing.T) {
-			ref, flat := newPair(t, cfg)
+			ref, tree := newPair(t, cfg)
 			src := rng.NewXoshiro256(7)
 			base := 0
 			for step := 0; step < 80000; step++ {
@@ -131,28 +152,29 @@ func TestFlatMatchesPointerReconfigStorm(t *testing.T) {
 				default:
 					row = base % cfg.Rows
 				}
-				comparePair(t, ref, flat, row, step)
+				comparePair(t, ref, tree, row, step)
 				if step%17389 == 17388 {
 					ref.OnIntervalBoundary()
-					flat.OnIntervalBoundary()
+					tree.OnIntervalBoundary()
+					compareLeaves(t, ref, tree, step)
 				}
 			}
-			st := flat.Stats()
+			compareLeaves(t, ref, tree, -1)
+			st := tree.Stats()
 			if cfg.Policy == DRCAT && cfg.Counters >= 4 && cfg.Counters < cfg.Rows && st.Reconfigs == 0 {
 				t.Errorf("storm produced no reconfigs (refreshes %d) — test not exercising DRCAT surgery", st.RefreshEvents)
 			}
-			compareWeights(t, ref, flat, -1)
 		})
 	}
 }
 
-// TestFlatProtectionInvariant spot-checks the flat tree's own guarantee
+// TestFlatProtectionInvariant spot-checks the tree's own guarantee
 // independently of the reference: between refreshes of a row's
 // neighbourhood, no row accumulates more than RefreshThreshold
 // activations without Access reporting a refresh range covering it.
 func TestFlatProtectionInvariant(t *testing.T) {
 	cfg := Config{Rows: 512, Counters: 16, MaxLevels: 9, RefreshThreshold: 32, Policy: DRCAT}
-	flat, err := NewFlatTree(cfg)
+	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +192,14 @@ func TestFlatProtectionInvariant(t *testing.T) {
 		if acts[row] > cfg.RefreshThreshold {
 			t.Fatalf("step %d: row %d reached %d activations without refresh", step, row, acts[row])
 		}
-		lo, hi, refresh := flat.Access(row)
+		lo, hi, refresh := tree.Access(row)
 		if refresh {
 			for r := lo; r <= hi; r++ {
 				acts[r] = 0
 			}
 		}
 		if step%5000 == 4999 {
-			flat.OnIntervalBoundary()
+			tree.OnIntervalBoundary()
 			for i := range acts {
 				acts[i] = 0
 			}

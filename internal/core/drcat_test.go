@@ -142,9 +142,9 @@ func TestDRCATWeightBitsCap(t *testing.T) {
 	for i := 0; i < 200*int(cfg.RefreshThreshold); i++ {
 		tree.Access(1)
 	}
-	for _, w := range tree.Weights() {
-		if w > 7 {
-			t.Errorf("weight %d exceeds 3-bit cap", w)
+	for _, l := range tree.Leaves() {
+		if l.Weight > 7 {
+			t.Errorf("weight %d exceeds 3-bit cap", l.Weight)
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {

@@ -6,7 +6,7 @@ import "fmt"
 // recovered by walking the tree. Diagnostics, tests, and the examples use
 // it to show tree shapes; the hot path never materialises it.
 type Leaf struct {
-	Counter int    // index into the counter array
+	Counter int    // heap slot of the counter
 	Lo, Hi  int    // inclusive row range
 	Depth   int    // tree level of the leaf
 	Value   uint32 // current counter value
@@ -15,131 +15,104 @@ type Leaf struct {
 
 // Leaves returns the active counters in row order.
 func (t *Tree) Leaves() []Leaf {
-	var out []Leaf
-	t.walk(func(l Leaf) { out = append(out, l) })
+	out := make([]Leaf, 0, t.nCtrs)
+	t.walk(func(i, lo, hi, depth int) {
+		if t.state[i] == slotLeaf {
+			out = append(out, Leaf{Counter: i, Lo: lo, Hi: hi, Depth: depth,
+				Value: t.value[i], Weight: t.weight[i]})
+		}
+	})
 	return out
 }
 
-// walk visits every leaf in row order.
-func (t *Tree) walk(visit func(Leaf)) {
-	if t.nInodes == 0 {
-		visit(Leaf{Counter: 0, Lo: 0, Hi: t.cfg.Rows - 1, Depth: 0,
-			Value: t.counters[0].value, Weight: t.weights[0]})
-		return
-	}
-	var rec func(ref int32, isNode bool, lo, hi, depth int)
-	rec = func(ref int32, isNode bool, lo, hi, depth int) {
-		if !isNode {
-			visit(Leaf{Counter: int(ref), Lo: lo, Hi: hi, Depth: depth,
-				Value: t.counters[ref].value, Weight: t.weights[ref]})
+// walk visits, in preorder (so leaves come in row order), every slot
+// reachable from the root through internal nodes, with the row block
+// [lo, hi] it covers and its depth. It never indexes past the slabs.
+func (t *Tree) walk(visit func(i, lo, hi, depth int)) {
+	var rec func(i, lo, hi, depth int)
+	rec = func(i, lo, hi, depth int) {
+		visit(i, lo, hi, depth)
+		if t.state[i] != slotInternal || 2*i+2 >= len(t.state) {
 			return
 		}
-		n := &t.inodes[ref]
 		mid := lo + (hi-lo)/2
-		rec(n.left, n.leftNode, lo, mid, depth+1)
-		rec(n.right, n.rightNode, mid+1, hi, depth+1)
+		rec(2*i+1, lo, mid, depth+1)
+		rec(2*i+2, mid+1, hi, depth+1)
 	}
-	rec(0, true, 0, t.cfg.Rows-1, 0)
+	rec(0, 0, t.cfg.Rows-1, 0)
 }
 
 // CheckInvariants verifies the structural soundness of the tree:
 //
-//  1. the leaves partition [0, Rows) exactly, in order, without overlap;
-//  2. every active counter appears as exactly one leaf and every allocated
-//     intermediate-node row is reachable exactly once (no cycles, no leaks);
-//  3. each leaf's stored depth matches its tree position;
-//  4. threshold indices are within the ladder; and
-//  5. no counter value exceeds the refresh threshold T.
+//  1. the leaves reachable from the root partition [0, Rows): every
+//     reachable slot is a leaf or an internal node, so no row block is
+//     left uncovered;
+//  2. the leaf count equals the active-counter count, and every populated
+//     slot is reachable and below the high-water mark rebuild clears to;
+//  3. no internal node sits at depth L-1 or deeper (its children would lie
+//     past the tree's L levels);
+//  4. threshold indices are within the ladder, and no counter value
+//     exceeds the refresh threshold T; and
+//  5. order lists every internal node exactly once.
 //
 // It returns the first violation found, or nil. Tests call it after every
 // mutation batch; it is deliberately exhaustive rather than fast.
 func (t *Tree) CheckInvariants() error {
-	seenCtr := make(map[int32]bool)
-	seenNode := make(map[int32]bool)
-	nextLo := 0
-	var firstErr error
-	fail := func(format string, args ...any) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("core: invariant violated: "+format, args...)
-		}
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("core: invariant violated: "+format, args...)
 	}
-
-	var rec func(ref int32, isNode bool, lo, hi, depth int)
-	rec = func(ref int32, isNode bool, lo, hi, depth int) {
-		if firstErr != nil {
+	top := t.cfg.MaxLevels - 1
+	var err error
+	leaves, internal := 0, 0
+	t.walk(func(i, lo, hi, depth int) {
+		if err != nil {
 			return
 		}
-		if lo > hi {
-			fail("empty range [%d,%d] at depth %d", lo, hi, depth)
-			return
+		switch t.state[i] {
+		case slotLeaf:
+			leaves++
+			if int(t.thIdx[i]) > top {
+				err = fail("leaf %d threshold index %d out of ladder", i, t.thIdx[i])
+			} else if t.value[i] > t.cfg.RefreshThreshold {
+				err = fail("leaf %d value %d exceeds T=%d", i, t.value[i], t.cfg.RefreshThreshold)
+			}
+		case slotInternal:
+			internal++
+			if depth >= top {
+				err = fail("internal node %d at depth %d, past L-1=%d", i, depth, top)
+			}
+		default:
+			err = fail("rows [%d,%d] uncovered: slot %d is empty", lo, hi, i)
 		}
-		if !isNode {
-			if ref < 0 || int(ref) >= t.nCtrs {
-				fail("leaf pointer %d outside active counters [0,%d)", ref, t.nCtrs)
-				return
-			}
-			if seenCtr[ref] {
-				fail("counter %d reachable twice", ref)
-				return
-			}
-			seenCtr[ref] = true
-			if lo != nextLo {
-				fail("leaf %d starts at %d, want %d (gap or overlap)", ref, lo, nextLo)
-				return
-			}
-			nextLo = hi + 1
-			c := &t.counters[ref]
-			if int(c.depth) != depth {
-				fail("counter %d stored depth %d, position depth %d", ref, c.depth, depth)
-			}
-			if int(c.thIdx) >= t.cfg.MaxLevels {
-				fail("counter %d threshold index %d out of ladder", ref, c.thIdx)
-			}
-			if c.value > t.cfg.RefreshThreshold {
-				fail("counter %d value %d exceeds T=%d", ref, c.value, t.cfg.RefreshThreshold)
-			}
-			return
-		}
-		if ref < 0 || int(ref) >= t.nInodes {
-			fail("node pointer %d outside allocated rows [0,%d)", ref, t.nInodes)
-			return
-		}
-		if seenNode[ref] {
-			fail("intermediate node %d reachable twice (cycle)", ref)
-			return
-		}
-		seenNode[ref] = true
-		if depth >= t.cfg.MaxLevels {
-			fail("node %d at depth %d exceeds L=%d levels", ref, depth, t.cfg.MaxLevels)
-			return
-		}
-		n := &t.inodes[ref]
-		mid := lo + (hi-lo)/2
-		rec(n.left, n.leftNode, lo, mid, depth+1)
-		rec(n.right, n.rightNode, mid+1, hi, depth+1)
+	})
+	if err != nil {
+		return err
 	}
-
-	if t.nInodes == 0 {
-		if t.nCtrs < 1 {
-			return fmt.Errorf("core: invariant violated: tree has no counters")
+	if leaves != t.nCtrs {
+		return fail("%d leaves reachable, %d counters active", leaves, t.nCtrs)
+	}
+	populated := 0
+	for i, st := range t.state {
+		if st == slotAbsent {
+			continue
 		}
-		if t.counters[0].depth != 0 {
-			return fmt.Errorf("core: invariant violated: root leaf depth %d", t.counters[0].depth)
+		if i >= t.maxUsed {
+			return fail("slot %d populated past the high-water mark %d", i, t.maxUsed)
 		}
-		return nil
+		populated++
 	}
-	rec(0, true, 0, t.cfg.Rows-1, 0)
-	if firstErr != nil {
-		return firstErr
+	if populated != leaves+internal {
+		return fail("%d populated slots, %d reachable", populated, leaves+internal)
 	}
-	if nextLo != t.cfg.Rows {
-		return fmt.Errorf("core: invariant violated: leaves cover up to %d, want %d", nextLo, t.cfg.Rows)
+	if len(t.order) != internal {
+		return fail("order lists %d nodes, %d internal", len(t.order), internal)
 	}
-	if len(seenCtr) != t.nCtrs {
-		return fmt.Errorf("core: invariant violated: %d counters reachable, %d active", len(seenCtr), t.nCtrs)
-	}
-	if len(seenNode) != t.nInodes {
-		return fmt.Errorf("core: invariant violated: %d nodes reachable, %d allocated", len(seenNode), t.nInodes)
+	seen := make([]bool, len(t.state))
+	for k, i := range t.order {
+		if t.state[i] != slotInternal || seen[i] {
+			return fail("order[%d] = slot %d is not a distinct internal node", k, i)
+		}
+		seen[i] = true
 	}
 	return nil
 }

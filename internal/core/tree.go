@@ -5,34 +5,34 @@ import (
 	"math/bits"
 )
 
-// FlatTree is the cache-friendly CAT layout: the same adaptive tree of
-// counters as Tree, stored as a contiguous implicit binary heap instead of
-// pointer-linked node rows. Node i's children live at 2i+1 and 2i+2, so a
-// lookup never chases a pointer — it walks a byte array of node states,
-// choosing the child from the row's address bits (every node covers a
-// power-of-two-aligned row block, so the branch direction at depth d is
-// bit rowBits-1-d of the row index). Per-node fields are split into
-// structure-of-arrays slabs (state, value, threshold index, weight) so the
-// walk touches one dense byte per level and the weight-aging pass is a
-// straight byte scan.
+// Tree is one CAT instance, stored as a contiguous implicit binary heap.
+// Node i's children live at 2i+1 and 2i+2, so a lookup never chases a
+// pointer — it walks a byte array of node states, choosing the child from
+// the row's address bits (every node covers a power-of-two-aligned row
+// block, so the branch direction at depth d is bit rowBits-1-d of the row
+// index). Per-node fields are split into structure-of-arrays slabs
+// (state, value, threshold index, weight) so the walk touches one dense
+// byte per level and the weight-aging pass is a straight byte scan.
 //
-// FlatTree is observationally equivalent to Tree: identical Access
-// return values, statistics, counter occupancy and — crucially — identical
-// DRCAT reconfiguration decisions. The pointer implementation scans its
-// intermediate-node array in allocation order when choosing the cold
-// sibling pair to merge, and recycles the merged row in place for the hot
-// split; FlatTree mirrors that discipline with a small order slice
-// (allocation slot -> heap index) so both trees always merge the same
-// node. The equivalence is locked by the differential tests in
-// flat_test.go (random traces, reconfig storms) and transitively by the
-// experiment goldens.
+// The paper's hardware stores the same tree as pointer-linked SRAM rows
+// (Fig. 5). The heap layout makes identical decisions: Access return
+// values, statistics, counter occupancy and DRCAT reconfiguration choices
+// all match the pointer form. The pointer tree scans its intermediate-node
+// array in allocation order when choosing the cold sibling pair to merge,
+// and recycles the merged row in place for the hot split; Tree mirrors
+// that discipline with a small order slice (allocation slot -> heap index)
+// so both always merge the same node. A pointer-linked reference
+// implementation in the package tests locks the equivalence (random
+// traces, reconfiguration storms), and the experiment goldens lock it
+// transitively.
 //
 // The price of the implicit layout is capacity for the worst-case shape:
 // the slabs hold 2^L - 1 slots (L = MaxLevels) regardless of how many
 // counters are active — ~14 KB per bank at the paper's L = 11 — in
 // exchange for a hot path bound by one L1 line per level instead of one
-// dependent load per pointer hop.
-type FlatTree struct {
+// dependent load per pointer hop. Tree is not safe for concurrent use; the
+// simulator drives one tree per bank from a single goroutine.
+type Tree struct {
 	cfg       Config
 	ladder    []uint32
 	lambda    int
@@ -45,7 +45,7 @@ type FlatTree struct {
 	thIdx  []uint8
 	weight []uint8
 
-	// order mirrors the pointer implementation's intermediate-node array:
+	// order mirrors the pointer layout's intermediate-node array:
 	// order[k] is the heap index of the k-th allocated internal node, with
 	// merged slots recycled in place — the scan order of DRCAT's
 	// merge-candidate search.
@@ -64,9 +64,8 @@ const (
 	slotLeaf     uint8 = 2
 )
 
-// NewFlatTree builds a flat CAT in its initial (pre-split) shape. It
-// accepts exactly the configurations NewTree accepts.
-func NewFlatTree(cfg Config) (*FlatTree, error) {
+// NewTree builds a CAT in its initial (pre-split) shape.
+func NewTree(cfg Config) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +74,7 @@ func NewFlatTree(cfg Config) (*FlatTree, error) {
 		ladder = NewLadder(cfg.Counters, cfg.MaxLevels, cfg.RefreshThreshold)
 	}
 	slots := 1<<cfg.MaxLevels - 1
-	t := &FlatTree{
+	t := &Tree{
 		cfg:       cfg,
 		ladder:    ladder,
 		lambda:    cfg.preSplit(),
@@ -92,7 +91,7 @@ func NewFlatTree(cfg Config) (*FlatTree, error) {
 }
 
 // rebuild restores the pre-split uniform tree with zeroed counters.
-func (t *FlatTree) rebuild() {
+func (t *Tree) rebuild() {
 	for i := 0; i < t.maxUsed; i++ {
 		t.state[i] = slotAbsent
 		t.value[i] = 0
@@ -113,15 +112,15 @@ func (t *FlatTree) rebuild() {
 // Reset restores the tree to its just-constructed state — the uniform
 // pre-split shape with zeroed counters and zeroed statistics — without
 // allocating. Run contexts use it to reuse trees across repeated runs.
-func (t *FlatTree) Reset() {
+func (t *Tree) Reset() {
 	t.rebuild()
 	t.stats = Stats{}
 }
 
 // buildUniform populates a complete subtree rooted at heap index i with
 // the given number of leaves, appending internal nodes to order in
-// preorder — the allocation order of the pointer implementation.
-func (t *FlatTree) buildUniform(i, leaves int) {
+// preorder — the allocation order of the pointer layout.
+func (t *Tree) buildUniform(i, leaves int) {
 	if leaves == 1 {
 		t.state[i] = slotLeaf
 		t.thIdx[i] = uint8(t.lambda - 1)
@@ -136,7 +135,7 @@ func (t *FlatTree) buildUniform(i, leaves int) {
 
 // markFull implements lines 23-25 of Algorithm 1: once every counter is
 // active, all split-threshold indices jump to L-1 so T_{l_i} = T.
-func (t *FlatTree) markFull() {
+func (t *Tree) markFull() {
 	t.full = true
 	top := uint8(t.cfg.MaxLevels - 1)
 	for i := 0; i < t.maxUsed; i++ {
@@ -147,37 +146,24 @@ func (t *FlatTree) markFull() {
 }
 
 // Config returns the tree's configuration.
-func (t *FlatTree) Config() Config { return t.cfg }
+func (t *Tree) Config() Config { return t.cfg }
 
 // Ladder returns the split-threshold ladder in use.
-func (t *FlatTree) Ladder() []uint32 { return t.ladder }
+func (t *Tree) Ladder() []uint32 { return t.ladder }
 
 // Stats returns a copy of the accumulated statistics.
-func (t *FlatTree) Stats() Stats { return t.stats }
+func (t *Tree) Stats() Stats { return t.stats }
 
 // ActiveCounters returns the number of activated counters.
-func (t *FlatTree) ActiveCounters() int { return t.nCtrs }
+func (t *Tree) ActiveCounters() int { return t.nCtrs }
 
 // Full reports whether every counter has been activated.
-func (t *FlatTree) Full() bool { return t.full }
-
-// Weights returns the active leaf weight registers in heap order
-// (diagnostics; the pointer Tree reports the same multiset in counter
-// allocation order).
-func (t *FlatTree) Weights() []uint8 {
-	out := make([]uint8, 0, t.nCtrs)
-	for i := 0; i < t.maxUsed; i++ {
-		if t.state[i] == slotLeaf {
-			out = append(out, t.weight[i])
-		}
-	}
-	return out
-}
+func (t *Tree) Full() bool { return t.full }
 
 // locate walks the state slab from the root to the leaf covering row. The
 // child at depth d is selected by row bit rowBits-1-d, so the walk is a
 // handful of dense byte loads with no pointer dependencies.
-func (t *FlatTree) locate(row int) (idx, depth int) {
+func (t *Tree) locate(row int) (idx, depth int) {
 	i := 0
 	d := 0
 	shift := t.rowBits - 1
@@ -191,8 +177,12 @@ func (t *FlatTree) locate(row int) (idx, depth int) {
 }
 
 // sramCost models the sequential SRAM accesses for a lookup that ended at
-// the given leaf depth (same accounting as Tree.sramCost).
-func (t *FlatTree) sramCost(leafDepth int) int {
+// the given leaf depth. With the top λ-1 intermediate levels replaced by
+// direct indexing (paper §IV-C), a lookup reads one intermediate node at
+// level λ-1, one node per additional level, and finally the counter: for a
+// leaf at depth L-1 that is (L-1) - (λ-1) + 2 = L - λ + 2 accesses, matching
+// the paper's "from 2 to L - log(M/4)" for λ = log2(M).
+func (t *Tree) sramCost(leafDepth int) int {
 	c := leafDepth - (t.lambda - 1) + 2
 	if c < 2 {
 		c = 2
@@ -200,10 +190,12 @@ func (t *FlatTree) sramCost(leafDepth int) int {
 	return c
 }
 
-// Access records one activation of row, returning the inclusive row range
-// to refresh when a counter reaches the threshold. It is step-for-step the
-// algorithm of Tree.Access over the flat layout.
-func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
+// Access records one activation of row. If the access drives a counter to
+// the refresh threshold, Access returns the inclusive row range to refresh
+// — the counter's range widened by one row on each side, clamped to the
+// bank (paper: "refresh all existing rows between Li-1 and Ui+1") — and
+// refresh = true.
+func (t *Tree) Access(row int) (refLo, refHi int, refresh bool) {
 	if row < 0 || row >= t.cfg.Rows {
 		panic(fmt.Sprintf("core: row %d out of range [0,%d)", row, t.cfg.Rows))
 	}
@@ -214,6 +206,10 @@ func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
 		t.stats.MaxDepth = depth
 	}
 
+	// Counter Module (Algorithm 1 lines 4-12), with the trigger taken on
+	// the access that reaches the threshold rather than the one after it
+	// (an off-by-one in the paper's pseudocode that would let a row reach
+	// T+1 activations before its victims refresh).
 	if t.value[i] < t.ladder[t.thIdx[i]] {
 		t.value[i]++
 	}
@@ -254,7 +250,7 @@ func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
 // split activates a new counter by turning leaf i at the given depth into
 // an internal node with two cloned leaf children (RCM, Algorithm 1 lines
 // 15-22).
-func (t *FlatTree) split(i, depth int) {
+func (t *Tree) split(i, depth int) {
 	l, r := 2*i+1, 2*i+2
 	if t.nCtrs >= t.cfg.Counters || t.cfg.Rows>>depth == 1 || r >= len(t.state) {
 		// No counter available or the range is a single row: saturate this
@@ -285,8 +281,12 @@ func (t *FlatTree) split(i, depth int) {
 
 // noteRefresh performs DRCAT's weight bookkeeping for the hot leaf and,
 // when its weight saturates, attempts one merge+split reconfiguration
-// (paper §V-B). The aging pass is a dense scan over the weight slab.
-func (t *FlatTree) noteRefresh(hot int) {
+// (paper §V-B, Fig. 7). When a counter reaches the refresh threshold its
+// weight is incremented (saturating) and all other weights are
+// decremented (floored at zero), so weights age out unless a region keeps
+// triggering refreshes. The aging pass is a dense scan over the weight
+// slab.
+func (t *Tree) noteRefresh(hot int) {
 	st, w := t.state, t.weight
 	wHot := w[hot]
 	for j := 0; j < t.maxUsed; j++ {
@@ -311,7 +311,7 @@ func (t *FlatTree) noteRefresh(hot int) {
 // intermediate-node allocation order — so both implementations always
 // pick the same pair; the merged node's order slot is recycled for the
 // new split node, exactly like the pointer tree reuses the SRAM row.
-func (t *FlatTree) reconfigure(hot int) bool {
+func (t *Tree) reconfigure(hot int) bool {
 	if len(t.order) < 2 {
 		return false // degenerate tree: nothing to merge without emptying it
 	}
@@ -376,7 +376,7 @@ func (t *FlatTree) reconfigure(hot int) bool {
 // OnIntervalBoundary informs the tree that an auto-refresh interval
 // elapsed. PRCAT rebuilds the whole tree; DRCAT clears counter values but
 // keeps the learned structure and weights (§V).
-func (t *FlatTree) OnIntervalBoundary() {
+func (t *Tree) OnIntervalBoundary() {
 	if t.cfg.Policy == PRCAT {
 		t.rebuild()
 		t.stats.Rebuilds++

@@ -74,7 +74,7 @@ func BenchmarkEngineRun(b *testing.B) {
 				b.StopTimer()
 				h := makeHarness(b, cfg.cores, reqPerCore, 512, cfg.sched, cfg.batch, 0)
 				b.StartTimer()
-				if _, err := Run(h.cfg); err != nil {
+				if _, err := RunInPlace(&h.cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

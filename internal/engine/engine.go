@@ -1,6 +1,6 @@
 // Package engine is the epoch-driven simulation core carved out of
 // sim.Run: it advances a set of cores through their request streams in
-// causal order via a min-heap event scheduler (O(log cores) per request),
+// causal order via a loser-tree event scheduler (O(log cores) per request),
 // drives the memory controller and the crosstalk-mitigation scheme, and —
 // when an epoch length is configured — slices the run into fixed-duration
 // epochs, snapshotting per-epoch metrics (activations, victim refreshes,
@@ -12,8 +12,9 @@
 // exactly as the linear scan did, epoch sampling is a pure read of scheme
 // and controller statistics, and the steady-state request path performs no
 // allocations (locked by the engine's alloc-gate test and benchmarked by
-// `make bench-engine`). sim.Run is a thin wrapper over Run; experiments
-// consume the per-epoch Samples through sim.Result.Epochs.
+// `make bench-engine`). sim.Context wires the components and calls
+// RunInPlace; experiments consume the per-epoch Samples through
+// sim.Result.Epochs.
 package engine
 
 import (
@@ -118,10 +119,6 @@ type Config struct {
 	// value) picks the packed-key tournament tree, falling back to the
 	// binary heap past maxTournamentCores.
 	Sched Sched
-	// LinearScan selects the O(cores) reference scheduler instead of the
-	// min-heap — for the equivalence test and benchmarks only. Equivalent
-	// to Sched == SchedLinear; kept for existing callers.
-	LinearScan bool
 	// Batch drains each core's requests in a run while its clock stays
 	// below the next-best core's — the exact condition under which the
 	// scheduler would pick it again — amortizing one pick/update pair over
@@ -167,29 +164,13 @@ const (
 // schedSel resolves the configured scheduler kind for n cores to a
 // concrete choice (never SchedAuto).
 func (c *Config) schedSel(n int) Sched {
-	sel := c.Sched
-	if c.LinearScan && sel == SchedAuto {
-		sel = SchedLinear
-	}
-	if sel == SchedAuto {
+	if c.Sched == SchedAuto {
 		if n > maxTournamentCores {
 			return SchedHeap
 		}
 		return SchedTournament
 	}
-	return sel
-}
-
-// newScheduler resolves the configured scheduler for n cores.
-func (c *Config) newScheduler(n int) scheduler {
-	switch c.schedSel(n) {
-	case SchedLinear:
-		return newLinearScheduler(n)
-	case SchedHeap:
-		return newHeapScheduler(n)
-	default:
-		return newTournamentScheduler(n)
-	}
+	return c.Sched
 }
 
 func (c *Config) validate() error {
@@ -352,15 +333,9 @@ func (s *sampler) flush(endCPU int64) {
 	}
 }
 
-// Run executes the event loop to completion.
-func Run(cfg Config) (Result, error) {
-	return RunInPlace(&cfg)
-}
-
-// RunInPlace is Run minus the config value copy: the caller retains
-// ownership of cfg, which the engine only reads. Run contexts hold a
-// persistent Config and call this so a repeated run does not re-allocate
-// the escaping copy Run's by-value parameter would.
+// RunInPlace executes the event loop to completion. The caller retains
+// ownership of cfg, which the engine only reads: run contexts hold a
+// persistent Config so a repeated run does not copy it.
 func RunInPlace(cfg *Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -394,9 +369,9 @@ func RunInPlace(cfg *Config) (Result, error) {
 // runLoop executes the event loop until every slot drains: it issues all
 // requests and drains the cores' outstanding reads, but performs no
 // terminal write flush and emits no trailing epoch sample. Finalization
-// differs between the sequential path (Run flushes at its own end) and the
-// sharded path (RunSharded flushes every partition's write queue at the
-// global end, so drain timing matches a single merged run).
+// differs between the sequential path (RunInPlace flushes at its own end)
+// and the sharded path (RunSharded flushes every partition's write queue
+// at the global end, so drain timing matches a single merged run).
 func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error) {
 	nc := len(cfg.Cores)
 	no := len(cfg.Open)

@@ -70,7 +70,7 @@ func TestOpenSlotsSchedulerEquivalent(t *testing.T) {
 			ref.cfg.Cores = nil
 		}
 		addOpenSlots(t, ref, 2, 3000, 40)
-		rr, err := Run(ref.cfg)
+		rr, err := RunInPlace(&ref.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestOpenSlotsSchedulerEquivalent(t *testing.T) {
 				h.cfg.Cores = nil
 			}
 			addOpenSlots(t, h, 2, 3000, 40)
-			hr, err := Run(h.cfg)
+			hr, err := RunInPlace(&h.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,13 +102,13 @@ func TestOpenSlotsSchedulerEquivalent(t *testing.T) {
 func TestOpenSlotsEpochInvariant(t *testing.T) {
 	base := makeHarness(t, 1, 2000, 512, SchedAuto, true, 0)
 	addOpenSlots(t, base, 2, 2000, 55)
-	br, err := Run(base.cfg)
+	br, err := RunInPlace(&base.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := makeHarness(t, 1, 2000, 512, SchedAuto, true, 20_000)
 	addOpenSlots(t, h, 2, 2000, 55)
-	r, err := Run(h.cfg)
+	r, err := RunInPlace(&h.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAttributorSeesEveryEvent(t *testing.T) {
 	addOpenSlots(t, h, 1, 3000, 30)
 	attr := &countingAttr{}
 	h.cfg.Attr = attr
-	if _, err := Run(h.cfg); err != nil {
+	if _, err := RunInPlace(&h.cfg); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(3 * 3000); attr.acts != want {
@@ -161,13 +161,13 @@ func TestAttributorSeesEveryEvent(t *testing.T) {
 // observable.
 func TestAttributorDoesNotPerturb(t *testing.T) {
 	plain := makeHarness(t, 2, 2000, 512, SchedAuto, true, 0)
-	pr, err := Run(plain.cfg)
+	pr, err := RunInPlace(&plain.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	attr := makeHarness(t, 2, 2000, 512, SchedAuto, true, 0)
 	attr.cfg.Attr = &countingAttr{}
-	ar, err := Run(attr.cfg)
+	ar, err := RunInPlace(&attr.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestOpenSlotClampsNonMonotoneArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.cfg.Open = []OpenSlot{{Gen: &regressingSource{inner: pacedSource{gen: gen, step: 100}}, Requests: 100}}
-	if _, err := Run(h.cfg); err != nil {
+	if _, err := RunInPlace(&h.cfg); err != nil {
 		t.Fatalf("non-monotone source broke the run: %v", err)
 	}
 }
@@ -208,11 +208,11 @@ func TestOpenSlotClampsNonMonotoneArrivals(t *testing.T) {
 func TestOpenSlotValidation(t *testing.T) {
 	h := makeHarness(t, 1, 10, 512, SchedAuto, false, 0)
 	h.cfg.Cores = nil
-	if _, err := Run(h.cfg); err == nil {
+	if _, err := RunInPlace(&h.cfg); err == nil {
 		t.Error("no cores and no open slots accepted")
 	}
 	h.cfg.Open = []OpenSlot{{Gen: nil, Requests: 10}}
-	if _, err := Run(h.cfg); err == nil {
+	if _, err := RunInPlace(&h.cfg); err == nil {
 		t.Error("nil open generator accepted")
 	}
 	wl, _ := trace.Lookup("comm1")
@@ -221,7 +221,7 @@ func TestOpenSlotValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.cfg.Open = []OpenSlot{{Gen: &pacedSource{gen: gen, step: 10}, Requests: 0}}
-	if _, err := Run(h.cfg); err == nil {
+	if _, err := RunInPlace(&h.cfg); err == nil {
 		t.Error("zero-budget open slot accepted")
 	}
 }
@@ -235,7 +235,7 @@ func allocsForOpenRun(t testing.TB, requests int) float64 {
 		addOpenSlots(t, h, 2, requests, 25)
 		attr := &countingAttr{}
 		h.cfg.Attr = attr
-		if _, err := Run(h.cfg); err != nil {
+		if _, err := RunInPlace(&h.cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -100,13 +100,13 @@ func TestSchedulersEquivalent(t *testing.T) {
 	}
 	for _, cores := range []int{1, 2, 5, 16} {
 		ref := makeHarness(t, cores, 5000, 512, SchedLinear, false, 0)
-		rr, err := Run(ref.cfg)
+		rr, err := RunInPlace(&ref.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range variants {
 			h := makeHarness(t, cores, 5000, 512, v.sched, v.batch, 0)
-			hr, err := Run(h.cfg)
+			hr, err := RunInPlace(&h.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,18 +124,15 @@ func TestSchedulersEquivalent(t *testing.T) {
 	}
 }
 
-// TestLinearScanFieldStillSelectsLinear keeps the pre-Sched boolean knob
-// working for existing callers.
-func TestLinearScanFieldStillSelectsLinear(t *testing.T) {
-	cfg := Config{}
-	cfg.LinearScan = true
-	if _, ok := cfg.newScheduler(4).(*linearScheduler); !ok {
-		t.Fatal("LinearScan=true no longer selects the linear scheduler")
+// TestSchedulerSelection locks how Config.Sched resolves to a scheduler.
+func TestSchedulerSelection(t *testing.T) {
+	if _, ok := new(Scratch).scheduler(&Config{Sched: SchedLinear}, 4).(*linearScheduler); !ok {
+		t.Fatal("SchedLinear no longer selects the linear scheduler")
 	}
-	if _, ok := (&Config{}).newScheduler(4).(*tournamentScheduler); !ok {
+	if _, ok := new(Scratch).scheduler(&Config{}, 4).(*tournamentScheduler); !ok {
 		t.Fatal("SchedAuto should pick the tournament scheduler at small core counts")
 	}
-	if _, ok := (&Config{}).newScheduler(maxTournamentCores + 1).(*heapScheduler); !ok {
+	if _, ok := new(Scratch).scheduler(&Config{}, maxTournamentCores+1).(*heapScheduler); !ok {
 		t.Fatal("SchedAuto should fall back to the heap past maxTournamentCores")
 	}
 }
@@ -145,13 +142,13 @@ func TestLinearScanFieldStillSelectsLinear(t *testing.T) {
 // add up to the run totals.
 func TestEpochSamplingDoesNotPerturb(t *testing.T) {
 	base := makeHarness(t, 3, 4000, 512, SchedAuto, true, 0)
-	br, err := Run(base.cfg)
+	br, err := RunInPlace(&base.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, epochCPU := range []int64{100_000, 777_777, 5_000_000} {
 		h := makeHarness(t, 3, 4000, 512, SchedAuto, true, epochCPU)
-		r, err := Run(h.cfg)
+		r, err := RunInPlace(&h.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +197,7 @@ func TestEpochSamplingDoesNotPerturb(t *testing.T) {
 // reaches the samples.
 func TestSnapshotterSampled(t *testing.T) {
 	h := makeHarness(t, 2, 4000, 512, SchedAuto, true, 500_000)
-	r, err := Run(h.cfg)
+	r, err := RunInPlace(&h.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +224,7 @@ func allocsForRun(t testing.TB, requests int) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(3, func() {
 		h := makeHarness(t, 2, requests, 512, SchedAuto, true, 0)
-		if _, err := Run(h.cfg); err != nil {
+		if _, err := RunInPlace(&h.cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -262,7 +259,7 @@ func TestConfigValidation(t *testing.T) {
 		cfg := h.cfg
 		cfg.Cores = append([]CoreSlot(nil), h.cfg.Cores...)
 		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunInPlace(&cfg); err == nil {
 			t.Errorf("mutation %d: invalid config accepted", i)
 		}
 	}

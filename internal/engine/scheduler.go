@@ -227,8 +227,8 @@ type tournamentScheduler struct {
 
 const infKey = int64(^uint64(0) >> 1) // math.MaxInt64
 
-// maxTournamentCores bounds the packed index width. Run falls back to the
-// heap scheduler above it.
+// maxTournamentCores bounds the packed index width. RunInPlace falls back
+// to the heap scheduler above it.
 const maxTournamentCores = 1 << 12
 
 func newTournamentScheduler(n int) *tournamentScheduler {

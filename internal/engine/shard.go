@@ -35,7 +35,7 @@ import (
 //     GOMAXPROCS and any worker count.
 //
 // Consequently RunSharded(parts, w) returns the same Result for every w,
-// and equals Run on the merged configuration whenever no auto-refresh
+// and equals RunInPlace on the merged configuration whenever no auto-refresh
 // interval boundary fires mid-run (each partition advances its interval
 // clock from its own traffic — the per-channel-controller view of a
 // multi-channel system; the sequential engine resets all banks at once).

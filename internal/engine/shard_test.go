@@ -129,7 +129,7 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	for _, geom := range []dram.Geometry{dram.Default2Channel(), dram.Default4Channel()} {
 		for _, epochCPU := range []int64{0, 250_000, 777_777} {
 			w := makeShardWorld(t, geom, 2, 3000, epochCPU, true)
-			want, err := Run(w.seq)
+			want, err := RunInPlace(&w.seq)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"catsim/internal/sim"
-	"catsim/internal/workload"
 )
 
 // Cache memoizes sim.Run results by the canonical config key
@@ -61,13 +60,9 @@ func (c *Cache) RunWith(cfg sim.Config, run func(sim.Config) (sim.Result, error)
 	if e.err != nil {
 		return sim.Result{}, e.err
 	}
-	res := e.res
 	// The entry is shared across callers: hand out private copies of the
 	// mutable fields so consumers can't corrupt each other.
-	res.PerBankActs = append([]int64(nil), e.res.PerBankActs...)
-	res.Epochs = append([]sim.EpochSample(nil), e.res.Epochs...)
-	res.Tenants = append([]workload.TenantStat(nil), e.res.Tenants...)
-	return res, nil
+	return e.res.Clone(), nil
 }
 
 // Hits reports how many Run calls were served from an existing entry

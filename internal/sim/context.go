@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"catsim/internal/addrmap"
-	"catsim/internal/cpu"
 	"catsim/internal/dram"
 	"catsim/internal/engine"
 	"catsim/internal/memctrl"
@@ -20,12 +19,14 @@ import (
 // same-shaped cells (typically differing only in seed) performs no
 // steady-state allocations per run.
 //
-// Context.Run(cfg) returns a byte-identical Result to Run(cfg) for every
-// configuration and every sequence of configurations (locked by the
-// context-reuse identity test): each layer compares the shape it was
-// built for against the incoming config and rebuilds on any mismatch, and
-// scheme reuse additionally goes through mitigation.Resettable, whose
-// contract demands observational equivalence to a fresh build.
+// Context is the only place a run is assembled: the package-level Run is
+// a fresh Context's run. A reused Context returns a byte-identical Result
+// to a fresh one for every configuration and every sequence of
+// configurations (locked by the context-reuse identity test): each layer
+// compares the shape it was built for against the incoming config and
+// rebuilds on any mismatch, and scheme reuse additionally goes through
+// mitigation.Resettable, whose contract demands observational equivalence
+// to a fresh build.
 //
 // A Result returned by Context.Run ALIASES the context (PerBankActs and
 // Epochs share its scratch memory) and is valid only until the context's
@@ -44,8 +45,8 @@ type Context struct {
 // NewContext returns an empty context; the first Run populates it.
 func NewContext() *Context { return &Context{} }
 
-// Run executes one simulation exactly like the package-level Run, reusing
-// the context's state wherever the configuration shape allows.
+// Run executes one simulation, reusing the context's state wherever the
+// configuration shape allows.
 func (ctx *Context) Run(cfg Config) (Result, error) {
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
@@ -194,12 +195,11 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 		}
 	}
 	scheme := s.scheme
-	thresholdTriggered := scheme.Kind() != mitigation.KindPRA && scheme.Kind() != mitigation.KindNone
-	if cfg.ThresholdScale < 1 && thresholdTriggered {
-		scaled := int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-		ctrl.SetVictimRowCycles(scaled)
-	}
+	cfg.scaleVictimRefresh(ctrl, scheme.Kind())
 
+	// The oracle judges every scheme, probabilistic ones included: for
+	// PRA/DSAC the missed-victim accounting quantifies the protection gap
+	// that deterministic schemes must show to be zero.
 	var oracle *mitigation.Oracle
 	if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
 		if was && s.oracle != nil && prev.Geometry == cfg.Geometry && prev.Threshold == cfg.Threshold {
@@ -210,7 +210,6 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 		oracle = s.oracle
 	}
 
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
 	var cohort *workload.Cohort
 	switch {
 	case was && sameStreamShape(&prev, &cfg):
@@ -226,34 +225,18 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 		// Replay wrappers are cheap views over the immutable container;
 		// rebuild them every run rather than teaching them to rewind.
 		s.closed, s.openRT = nil, nil
-		if s.slots, s.openSlots, cohort, err = cfg.buildStreams(policy, cpuNS); err != nil {
+		if s.slots, s.openSlots, cohort, err = cfg.replayStreams(policy); err != nil {
 			return Result{}, err
 		}
 	default:
-		if cohort, err = s.buildStreams(&cfg, policy, cpuNS); err != nil {
+		if cohort, err = s.buildStreams(&cfg, policy); err != nil {
 			return Result{}, err
 		}
 	}
 
-	s.ecfg = engine.Config{
-		Cores:           s.slots,
-		Open:            s.openSlots,
-		Ctrl:            ctrl,
-		Policy:          policy,
-		Geometry:        cfg.Geometry,
-		Scheme:          scheme,
-		Oracle:          oracle,
-		Scrambler:       cfg.Scrambler,
-		IgnoreScrambler: cfg.IgnoreScrambler,
-		CPUPerBus:       cfg.CPUPerBus,
-		IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-		EpochCPU:        int64(cfg.EpochNS / cpuNS),
-		CPUCycleNS:      cpuNS,
-		BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-		Batch:           true,
-		OnSample:        cfg.OnSample,
-		Scratch:         &s.scratch,
-	}
+	s.ecfg = cfg.engineConfig(s.slots, policy, ctrl, scheme, oracle, &s.scratch)
+	s.ecfg.Open = s.openSlots
+	s.ecfg.OnSample = cfg.OnSample
 	if cohort != nil {
 		s.ecfg.Attr = cohort
 	}
@@ -267,10 +250,7 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	if oracle != nil {
-		res.OracleViolations = oracle.Violations()
-		res.MissedVictimRows = oracle.MissedVictimRows()
-		res.ExposedVictimRows = oracle.ExposedVictimRows()
-		res.MissedVictimRate = oracle.MissedVictimRate()
+		res.addOracle(oracle)
 	}
 	if cohort != nil {
 		if oracle != nil {
@@ -287,27 +267,23 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 // buildStreams builds the sequential generated (non-replay) streams
 // fresh, keeping the per-layer handles reseed needs, and returns the
 // open-loop cohort (nil for pure closed-loop runs).
-func (s *seqState) buildStreams(cfg *Config, policy addrmap.Policy, cpuNS float64) (*workload.Cohort, error) {
+func (s *seqState) buildStreams(cfg *Config, policy addrmap.Policy) (*workload.Cohort, error) {
 	s.closed = s.closed[:0]
 	s.slots = s.slots[:0]
 	for i := 0; i < cfg.Cores; i++ {
-		core, err := cpu.NewCore(cfg.Window)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := cfg.closedStream(policy, i)
+		cs, slot, err := cfg.closedSlot(policy, i)
 		if err != nil {
 			return nil, err
 		}
 		s.closed = append(s.closed, cs)
-		s.slots = append(s.slots, engine.CoreSlot{CPU: core, Gen: cs.gen, Requests: cfg.RequestsPerCore})
+		s.slots = append(s.slots, slot)
 	}
 	s.openRT = nil
 	s.openSlots = nil
 	if cfg.OpenLoop == nil {
 		return nil, nil
 	}
-	rt, err := cfg.openConfig().Build(cfg.Geometry, policy, 1/cpuNS, cfg.Seed)
+	rt, err := cfg.openConfig().Build(cfg.Geometry, policy, 1/cfg.cpuCycleNS(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -320,6 +296,7 @@ func (s *seqState) buildStreams(cfg *Config, policy addrmap.Policy, cpuNS float6
 
 // shardPart is one channel partition's reusable stack.
 type shardPart struct {
+	channel engine.ChannelRange
 	ctrl    *memctrl.Controller
 	scheme  mitigation.Scheme
 	oracle  *mitigation.Oracle
@@ -344,58 +321,44 @@ func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	was := sh.built
 	sh.built = false
 
+	// Partitions rewind in place when the shape matches and every scheme
+	// accepts the reset; a decline mid-loop is harmless, as the whole
+	// stack is then rebuilt.
 	reuse := was && sameStreamShape(&prev, &cfg) && sameSchemeShape(&prev, &cfg) &&
 		prev.CheckProtection == cfg.CheckProtection
-	if reuse {
-		for p := range sh.parts {
-			r, ok := sh.parts[p].scheme.(mitigation.Resettable)
-			if !ok || !r.ResetRun(cfg.Scheme.runSeed(cfg.Seed)) {
-				reuse = false
-				break
-			}
+	for p := 0; reuse && p < len(sh.parts); p++ {
+		part := &sh.parts[p]
+		r, ok := part.scheme.(mitigation.Resettable)
+		if reuse = ok && r.ResetRun(cfg.Scheme.runSeed(cfg.Seed)); !reuse {
+			break
+		}
+		part.ctrl.Reset()
+		if part.oracle != nil {
+			part.oracle.Reset()
+		}
+		for i := range part.closed {
+			part.closed[i].reseed(cfg.Seed)
+			part.slots[i].CPU.Reset()
 		}
 	}
-
-	var err error
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
-	thresholdTriggered := cfg.Scheme.Kind != mitigation.KindPRA && cfg.Scheme.Kind != mitigation.KindNone
-	// SetVictimRowCycles clamps internally, so a scaled value of 0 is a
-	// meaningful override (it becomes the 1-cycle floor) — track whether
-	// scaling applies separately from the value.
-	scaleVictim := cfg.ThresholdScale < 1 && thresholdTriggered
-	scaledCycles := 0
-	if scaleVictim {
-		scaledCycles = int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-	}
-
-	if reuse {
-		for p := range sh.parts {
-			part := &sh.parts[p]
-			part.ctrl.Reset()
-			if scaleVictim {
-				part.ctrl.SetVictimRowCycles(scaledCycles)
-			}
-			if part.oracle != nil {
-				part.oracle.Reset()
-			}
-			for i := range part.closed {
-				part.closed[i].reseed(cfg.Seed)
-				part.slots[i].CPU.Reset()
-			}
-			// Per-run engine knobs the shape comparison does not pin.
-			ec := &sh.ecfgs[p]
-			ec.IntervalCPU = int64(cfg.IntervalNS / cpuNS)
-			ec.EpochCPU = int64(cfg.EpochNS / cpuNS)
-			ec.Scrambler = cfg.Scrambler
-			ec.IgnoreScrambler = cfg.IgnoreScrambler
-		}
-	} else {
+	if !reuse {
+		var err error
 		if sh.policy, err = cachedPolicy(&cfg); err != nil {
 			return Result{}, err
 		}
-		if err = sh.build(&cfg, cpuNS, scaleVictim, scaledCycles); err != nil {
+		if err = sh.build(&cfg); err != nil {
 			return Result{}, err
 		}
+	}
+	// Re-wired every run: interval, epoch, scrambler and the victim-row
+	// cost are per-run knobs the shape comparison does not pin.
+	sh.ecfgs = sh.ecfgs[:0]
+	for p := range sh.parts {
+		part := &sh.parts[p]
+		cfg.scaleVictimRefresh(part.ctrl, cfg.Scheme.Kind)
+		ec := cfg.engineConfig(part.slots, sh.policy, part.ctrl, part.scheme, part.oracle, &part.scratch)
+		ec.Channels = &part.channel
+		sh.ecfgs = append(sh.ecfgs, ec)
 	}
 
 	workers := cfg.Shards
@@ -406,6 +369,12 @@ func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// Per-partition samples only become the run's samples after the
+	// channel-order merge, so the streaming hook fires here — once, with
+	// the final merged sequence — rather than live per partition. Callers
+	// observe the identical samples in the identical order as a
+	// sequential run (locked by TestOnSampleShardedMatchesSequential);
+	// only the delivery time differs.
 	if cfg.OnSample != nil {
 		for _, smp := range er.Samples {
 			cfg.OnSample(smp)
@@ -424,17 +393,9 @@ func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.CheckProtection && cfg.Scheme.Kind != mitigation.KindNone {
-		var missed, exposed int64
-		for p := range sh.parts {
-			o := sh.parts[p].oracle
-			res.OracleViolations += o.Violations()
-			missed += o.MissedVictimRows()
-			exposed += o.ExposedVictimRows()
-		}
-		res.MissedVictimRows, res.ExposedVictimRows = missed, exposed
-		if exposed > 0 {
-			res.MissedVictimRate = float64(missed) / float64(exposed)
+	for p := range sh.parts {
+		if o := sh.parts[p].oracle; o != nil {
+			res.addOracle(o)
 		}
 	}
 	sh.prev = cfg
@@ -442,67 +403,66 @@ func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// build constructs the per-channel partition stacks fresh, mirroring
-// runSharded's construction exactly (cores assigned channel ch = index
-// mod Channels; channels with no cores are skipped).
-func (sh *shardState) build(cfg *Config, cpuNS float64, scaleVictim bool, scaledCycles int) error {
+// build constructs the per-channel partition stacks fresh: one
+// controller + scheme (+ oracle) per channel that has cores, cores
+// assigned channel ch = core index mod Channels (matching the affineGen
+// pinning). A channel with no cores sees no traffic; skipping it keeps the
+// partition list dense (engine.RunSharded requires non-empty partitions)
+// without changing any result: the merge's pristine correction accounts
+// for untouched banks either way.
+func (sh *shardState) build(cfg *Config) error {
 	banks := cfg.Geometry.TotalBanks()
 	sh.parts = sh.parts[:0]
-	sh.ecfgs = sh.ecfgs[:0]
 	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		var part shardPart
+		part := shardPart{channel: engine.ChannelRange{Lo: ch, Hi: ch + 1}}
 		for i := ch; i < cfg.Cores; i += cfg.Geometry.Channels {
-			core, err := cpu.NewCore(cfg.Window)
-			if err != nil {
-				return err
-			}
-			cs, err := cfg.closedStream(sh.policy, i)
+			cs, slot, err := cfg.closedSlot(sh.policy, i)
 			if err != nil {
 				return err
 			}
 			part.closed = append(part.closed, cs)
-			part.slots = append(part.slots, engine.CoreSlot{CPU: core, Gen: cs.gen, Requests: cfg.RequestsPerCore})
+			part.slots = append(part.slots, slot)
 		}
 		if len(part.slots) == 0 {
 			continue
 		}
-		ctrl, err := memctrl.New(cfg.Geometry, cfg.Timing)
-		if err != nil {
+		var err error
+		if part.ctrl, err = memctrl.New(cfg.Geometry, cfg.Timing); err != nil {
 			return err
 		}
-		scheme, err := cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed)
-		if err != nil {
+		if part.scheme, err = cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed); err != nil {
 			return err
 		}
-		if scaleVictim {
-			ctrl.SetVictimRowCycles(scaledCycles)
-		}
-		part.ctrl, part.scheme = ctrl, scheme
-		if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
+		if cfg.CheckProtection && part.scheme.Kind() != mitigation.KindNone {
 			part.oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
 		}
 		sh.parts = append(sh.parts, part)
-		sh.ecfgs = append(sh.ecfgs, engine.Config{
-			Cores:           part.slots,
-			Ctrl:            ctrl,
-			Policy:          sh.policy,
-			Geometry:        cfg.Geometry,
-			Scheme:          scheme,
-			Oracle:          part.oracle,
-			Scrambler:       cfg.Scrambler,
-			IgnoreScrambler: cfg.IgnoreScrambler,
-			CPUPerBus:       cfg.CPUPerBus,
-			IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-			EpochCPU:        int64(cfg.EpochNS / cpuNS),
-			CPUCycleNS:      cpuNS,
-			BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-			Batch:           true,
-			Channels:        &engine.ChannelRange{Lo: ch, Hi: ch + 1},
-		})
-	}
-	// Scratch pointers must be taken after the slice stops growing.
-	for p := range sh.parts {
-		sh.ecfgs[p].Scratch = &sh.parts[p].scratch
 	}
 	return nil
+}
+
+// engineConfig wires one engine run over pre-built components — the
+// settings every run path shares. The sequential path adds open-loop
+// slots, attribution and live sampling; a sharded partition adds its
+// channel range.
+func (c *Config) engineConfig(cores []engine.CoreSlot, policy addrmap.Policy, ctrl *memctrl.Controller,
+	scheme mitigation.Scheme, oracle *mitigation.Oracle, scratch *engine.Scratch) engine.Config {
+	cpuNS := c.cpuCycleNS()
+	return engine.Config{
+		Cores:           cores,
+		Ctrl:            ctrl,
+		Policy:          policy,
+		Geometry:        c.Geometry,
+		Scheme:          scheme,
+		Oracle:          oracle,
+		Scrambler:       c.Scrambler,
+		IgnoreScrambler: c.IgnoreScrambler,
+		CPUPerBus:       c.CPUPerBus,
+		IntervalCPU:     int64(c.IntervalNS / cpuNS),
+		EpochCPU:        int64(c.EpochNS / cpuNS),
+		CPUCycleNS:      cpuNS,
+		BusCycleNS:      1000.0 / float64(c.Timing.BusMHz),
+		Batch:           true,
+		Scratch:         scratch,
+	}
 }

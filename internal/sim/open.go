@@ -60,22 +60,13 @@ func (cs *closedStream) reseed(seed uint64) {
 	}
 }
 
-// closedGen builds core i's request generator: the synthetic workload
+// closedStream builds core i's generator stack, keeping a handle on each
+// resettable layer (see closedStream the type): the synthetic workload
 // stream, optionally wrapped in the kernel-attack blend, the
 // onset-delaying phase switch, and — under ChannelAffine — the
 // channel-pinning remap. Pinning wraps outermost so attack traffic is
 // pinned too, and so Capture records the pinned addresses: a captured
 // affine run replays byte-identically without re-pinning.
-func (c *Config) closedGen(policy addrmap.Policy, i int) (trace.Generator, error) {
-	cs, err := c.closedStream(policy, i)
-	if err != nil {
-		return nil, err
-	}
-	return cs.gen, nil
-}
-
-// closedStream builds core i's generator stack, keeping a handle on each
-// resettable layer (see closedStream the type).
 func (c *Config) closedStream(policy addrmap.Policy, i int) (closedStream, error) {
 	spec := c.Workload
 	if c.WorkloadPerCore != nil {
@@ -117,37 +108,18 @@ func (c *Config) closedStream(policy addrmap.Policy, i int) (closedStream, error
 	return cs, nil
 }
 
-// buildStreams assembles the engine-facing request sources — core slots,
-// open-loop arrival slots and, for open-loop runs, the cohort that
-// attributes activations and refreshes to tenants.
-func (c *Config) buildStreams(policy addrmap.Policy, cpuNS float64) ([]engine.CoreSlot, []engine.OpenSlot, *workload.Cohort, error) {
-	if c.Replay != nil {
-		return c.replayStreams(policy)
-	}
-	var slots []engine.CoreSlot
-	for i := 0; i < c.Cores; i++ {
-		core, err := cpu.NewCore(c.Window)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gen, err := c.closedGen(policy, i)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		slots = append(slots, engine.CoreSlot{CPU: core, Gen: gen, Requests: c.RequestsPerCore})
-	}
-	if c.OpenLoop == nil {
-		return slots, nil, nil, nil
-	}
-	rt, err := c.openConfig().Build(c.Geometry, policy, 1/cpuNS, c.Seed)
+// closedSlot builds core i's front end and generator stack as one engine
+// core slot, returning the stack too so run contexts can reseed it.
+func (c *Config) closedSlot(policy addrmap.Policy, i int) (closedStream, engine.CoreSlot, error) {
+	core, err := cpu.NewCore(c.Window)
 	if err != nil {
-		return nil, nil, nil, err
+		return closedStream{}, engine.CoreSlot{}, err
 	}
-	open := make([]engine.OpenSlot, len(rt.Sources))
-	for i, src := range rt.Sources {
-		open[i] = engine.OpenSlot{Gen: src, Requests: rt.Counts[i]}
+	cs, err := c.closedStream(policy, i)
+	if err != nil {
+		return closedStream{}, engine.CoreSlot{}, err
 	}
-	return slots, open, rt.Cohort, nil
+	return cs, engine.CoreSlot{CPU: core, Gen: cs.gen, Requests: c.RequestsPerCore}, nil
 }
 
 // replayStreams turns a captured container back into engine sources:
@@ -211,24 +183,23 @@ func Capture(cfg Config) (*trace.Container, error) {
 	}
 	c := &trace.Container{Geometry: cfg.Geometry}
 	for i := 0; i < cfg.Cores; i++ {
-		gen, err := cfg.closedGen(policy, i)
+		cs, err := cfg.closedStream(policy, i)
 		if err != nil {
 			return nil, err
 		}
 		reqs := make([]trace.Request, cfg.RequestsPerCore)
 		for k := range reqs {
-			reqs[k] = gen.Next()
+			reqs[k] = cs.gen.Next()
 		}
 		c.Streams = append(c.Streams, trace.Stream{
-			Name: fmt.Sprintf("core%d:%s", i, gen.Name()),
+			Name: fmt.Sprintf("core%d:%s", i, cs.gen.Name()),
 			Reqs: reqs,
 		})
 	}
 	if cfg.OpenLoop == nil {
 		return c, nil
 	}
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
-	rt, err := cfg.openConfig().Build(cfg.Geometry, policy, 1/cpuNS, cfg.Seed)
+	rt, err := cfg.openConfig().Build(cfg.Geometry, policy, 1/cfg.cpuCycleNS(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

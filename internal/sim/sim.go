@@ -436,119 +436,59 @@ func Validate(cfg Config) error {
 	return cfg.validate()
 }
 
-// Run executes one simulation: it builds the mapping policy, controller,
-// scheme, oracle and per-core request streams from cfg, hands them to the
-// epoch-driven event loop in internal/engine, and derives the energy
-// breakdown and rate metrics from the end state. The engine's min-heap
+// Run executes one simulation: a fresh Context builds the mapping policy,
+// controller, scheme, oracle and request streams from cfg, hands them to
+// the epoch-driven event loop in internal/engine, and derives the energy
+// breakdown and rate metrics from the end state. The engine's loser-tree
 // scheduler replays the historical linear scan's causal order exactly, so
 // results are byte-identical to the pre-engine monolith (locked by the
-// golden files and the epoch/scheduler invariance tests).
+// golden files and the epoch/scheduler invariance tests). The Result owns
+// its memory.
 func Run(cfg Config) (Result, error) {
-	cfg.fill()
-	if err := cfg.validate(); err != nil {
+	res, err := NewContext().Run(cfg)
+	if err != nil {
 		return Result{}, err
 	}
-	if cfg.sharded() {
-		return runSharded(cfg)
-	}
+	return res.Clone(), nil
+}
 
-	policy, err := cfg.buildPolicy()
-	if err != nil {
-		return Result{}, err
-	}
+// cpuCycleNS is the length of one CPU cycle in nanoseconds.
+func (c *Config) cpuCycleNS() float64 {
+	return 1000.0 / (float64(c.Timing.BusMHz) * float64(c.CPUPerBus))
+}
 
-	ctrl, err := memctrl.New(cfg.Geometry, cfg.Timing)
-	if err != nil {
-		return Result{}, err
-	}
+// thresholdScaled reports whether the ThresholdScale compensation applies
+// to a scheme kind: a scaled-down run of a threshold-triggered scheme.
+// PRA refreshes per access, so its rates are already correct.
+func (c *Config) thresholdScaled(kind mitigation.Kind) bool {
+	return c.ThresholdScale < 1 && kind != mitigation.KindPRA && kind != mitigation.KindNone
+}
 
-	banks := cfg.Geometry.TotalBanks()
-	scheme, err := cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed)
-	if err != nil {
-		return Result{}, err
+// scaleVictimRefresh applies the bank-busy half of the ThresholdScale
+// compensation: each refreshed victim row costs scale × its unscaled
+// cycles. SetVictimRowCycles clamps, so a scaled value of 0 becomes the
+// 1-cycle floor.
+func (c *Config) scaleVictimRefresh(ctrl *memctrl.Controller, kind mitigation.Kind) {
+	if c.thresholdScaled(kind) {
+		ctrl.SetVictimRowCycles(int(float64(c.Timing.RowRefreshCycles())*c.ThresholdScale + 0.5))
 	}
-	thresholdTriggered := scheme.Kind() != mitigation.KindPRA && scheme.Kind() != mitigation.KindNone
-	if cfg.ThresholdScale < 1 && thresholdTriggered {
-		scaled := int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-		ctrl.SetVictimRowCycles(scaled)
-	}
-
-	// The oracle judges every scheme, probabilistic ones included: for
-	// PRA/DSAC the missed-victim accounting quantifies the protection gap
-	// that deterministic schemes must show to be zero.
-	var oracle *mitigation.Oracle
-	if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
-		oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
-	}
-
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus)) // ns per CPU cycle
-	slots, open, cohort, err := cfg.buildStreams(policy, cpuNS)
-	if err != nil {
-		return Result{}, err
-	}
-	ecfg := engine.Config{
-		Cores:           slots,
-		Open:            open,
-		Ctrl:            ctrl,
-		Policy:          policy,
-		Geometry:        cfg.Geometry,
-		Scheme:          scheme,
-		Oracle:          oracle,
-		Scrambler:       cfg.Scrambler,
-		IgnoreScrambler: cfg.IgnoreScrambler,
-		CPUPerBus:       cfg.CPUPerBus,
-		IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-		EpochCPU:        int64(cfg.EpochNS / cpuNS),
-		CPUCycleNS:      cpuNS,
-		BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-		Batch:           true,
-		OnSample:        cfg.OnSample,
-	}
-	if cohort != nil {
-		ecfg.Attr = cohort
-	}
-	er, err := engine.Run(ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := cfg.deriveResult(er, scheme.Counts(), scheme.Kind(), scheme.CountersPerBank(), ctrl.Stats(),
-		cfg.Scheme.Label(cfg.Threshold))
-	if err != nil {
-		return Result{}, err
-	}
-	if oracle != nil {
-		res.OracleViolations = oracle.Violations()
-		res.MissedVictimRows = oracle.MissedVictimRows()
-		res.ExposedVictimRows = oracle.ExposedVictimRows()
-		res.MissedVictimRate = oracle.MissedVictimRate()
-	}
-	if cohort != nil {
-		if oracle != nil {
-			res.Tenants = cohort.Stats(oracle)
-		} else {
-			res.Tenants = cohort.Stats(nil)
-		}
-	}
-	return res, nil
 }
 
 // deriveResult turns engine output plus end-state aggregates into the
-// reported Result. Both run paths use it: the sequential path hands it one
+// reported Result. Both engine paths use it: the sequential path hands it one
 // controller's stats and one scheme's counts, the sharded path the sums
 // over its per-channel partitions — the expressions are shared so the two
 // paths agree bit for bit. label is the scheme's figure label (passed in
 // so run contexts can cache the formatted string across a sweep).
 func (c *Config) deriveResult(er engine.Result, counts mitigation.Counts, kind mitigation.Kind,
 	countersPerBank int, stats memctrl.Stats, label string) (Result, error) {
-	cpuNS := 1000.0 / (float64(c.Timing.BusMHz) * float64(c.CPUPerBus))
-	execNS := float64(er.EndCPU) * cpuNS
+	execNS := float64(er.EndCPU) * c.cpuCycleNS()
 	banks := c.Geometry.TotalBanks()
 	breakdown, err := energy.Compute(kind, countersPerBank, counts, banks, execNS)
 	if err != nil {
 		return Result{}, err
 	}
-	thresholdTriggered := kind != mitigation.KindPRA && kind != mitigation.KindNone
-	if c.ThresholdScale < 1 && thresholdTriggered {
+	if c.thresholdScaled(kind) {
 		// See Config.ThresholdScale: trigger counts match a full interval
 		// while simulated time is scale*interval.
 		breakdown.RefreshMW *= c.ThresholdScale
@@ -571,10 +511,21 @@ func (c *Config) deriveResult(er engine.Result, counts mitigation.Counts, kind m
 	}, nil
 }
 
+// addOracle folds one oracle's protection verdict into r; a sharded run
+// folds one per partition.
+func (r *Result) addOracle(o *mitigation.Oracle) {
+	r.OracleViolations += o.Violations()
+	r.MissedVictimRows += o.MissedVictimRows()
+	r.ExposedVictimRows += o.ExposedVictimRows()
+	if r.ExposedVictimRows > 0 {
+		r.MissedVictimRate = float64(r.MissedVictimRows) / float64(r.ExposedVictimRows)
+	}
+}
+
 // Clone deep-copies the slices a Result carries, detaching it from any
-// run-context scratch memory it may alias. Results returned by Run own
-// their memory already; results from Context.Run alias the context and
-// must be cloned before the context's next run if they are retained.
+// run-context scratch memory it may alias. Run returns a clone already;
+// results from Context.Run alias the context and must be cloned before
+// the context's next run if they are retained.
 func (r Result) Clone() Result {
 	if r.PerBankActs != nil {
 		r.PerBankActs = append([]int64(nil), r.PerBankActs...)
